@@ -296,12 +296,11 @@ def run_calibration(
     with obs_trace.span("calibration.run_calibration"):
         engine = None
         if config.condition == "ml" and ml_pipeline is not None:
-            if config.infer_backend != "reference":
-                from repro.infer import build_engine
+            from repro.infer import build_engine
 
-                engine = build_engine(
-                    ml_pipeline, config.infer_backend, dtype=config.infer_dtype
-                )
+            engine = build_engine(
+                ml_pipeline, config.infer_backend, dtype=config.infer_dtype
+            )
         seeds = np.random.SeedSequence(seed).spawn(n_trials)
         ex = executor if executor is not None else get_executor(n_workers)
         common = (geometry, response, config, skymap, ml_pipeline, engine)

@@ -269,18 +269,11 @@ def run_trials(
         # rebuild only the (cheap) activation arenas locally.
         engine = None
         if config.condition == "ml" and ml_pipeline is not None:
-            if config.infer_backend != "reference":
-                from repro.infer import build_engine
+            from repro.infer import build_engine
 
-                engine = build_engine(
-                    ml_pipeline,
-                    config.infer_backend,
-                    dtype=config.infer_dtype,
-                )
-            elif config.event_batch > 1:
-                from repro.infer import build_engine
-
-                engine = build_engine(ml_pipeline, "reference")
+            engine = build_engine(
+                ml_pipeline, config.infer_backend, dtype=config.infer_dtype
+            )
         seeds = np.random.SeedSequence(seed).spawn(n_trials)
         ex = executor if executor is not None else get_executor(n_workers)
         common = (geometry, response, config, ml_pipeline, engine)

@@ -9,7 +9,7 @@ the parity guarantees, and ``BENCH_pr6.json`` for measured throughput.
 """
 
 from repro.infer.arena import DEFAULT_MICRO_BATCH, ActivationArena
-from repro.infer.batch import GatherScratch, localize_many
+from repro.infer.batch import GatherScratch, LocalizationRound, localize_many
 from repro.infer.engine import (
     INFER_BACKENDS,
     PLANNED_DTYPES,
@@ -48,6 +48,7 @@ __all__ = [
     "InferencePlan",
     "Int8LinearOp",
     "LinearOp",
+    "LocalizationRound",
     "PLANNED_DTYPES",
     "PlannedEngine",
     "QuantizeOp",

@@ -1,11 +1,10 @@
-"""Campaign-level batched localization: one planned pass per round.
+"""The localization round: one gather→evaluate→scatter driver.
 
-Per-event inference evaluates each event's ring features alone — a few
-hundred rows per network call.  :func:`localize_many` instead drives many
-events' request generators in lock step: every round it gathers the
-pending feature blocks of the same kind across *all* live events,
-concatenates them into one block, evaluates the engine once, and
-scatters the row slices back to their generators.
+:class:`LocalizationRound` answers the ``InferRequest``\\ s that
+``MLPipeline.localize_requests`` generators yield: per request kind, one
+gathered block, one engine call, and row slices handed to a step that
+advances each generator.  ``MLPipeline.localize``, :func:`localize_many`
+and ``serve.MicroBatchScheduler.flush`` are its three callers.
 
 **Determinism.**  Each event keeps its own ``Generator`` and its own
 request stream, and requests within one event are answered strictly in
@@ -23,23 +22,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.infer.engine import InferRequest, build_engine, evaluate_request
+from repro.infer.engine import REQUEST_METHODS, InferRequest, build_engine
+from repro.infer.engine import evaluate_request
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-
-#: Request kinds gathered per round, in a fixed evaluation order.
-_REQUEST_KINDS = ("background", "deta")
 
 
 class GatherScratch:
     """Reusable gather buffer for one request kind.
 
-    ``localize_many`` used to ``np.concatenate`` the pending feature
-    blocks every lock-step round, allocating a fresh gather array per
-    kind per round.  A campaign of thousands of events runs thousands of
-    rounds, so that churn is pure overhead.  This scratch keeps one
-    growable ``(capacity, width)`` array per kind and copies blocks into
-    its head instead; the array only ever grows (geometrically), so a
+    Keeps one growable ``(capacity, width)`` array and copies a round's
+    feature blocks into its head instead of ``np.concatenate``-ing a
+    fresh array every round; the array only grows (geometrically), so a
     steady-state campaign allocates nothing after warm-up.
 
     The returned view is consumed synchronously — the engine's scaler
@@ -109,6 +103,76 @@ def _checked_width(blocks: list[np.ndarray]) -> int:
     return width
 
 
+def advance(gen, answer=None):
+    """Resume ``gen``: start it (None), send it rows, or throw an error in."""
+    if answer is None:
+        return next(gen)
+    if isinstance(answer, BaseException):
+        return gen.throw(answer)
+    return gen.send(answer)
+
+
+class LocalizationRound:
+    """One gather→evaluate→scatter round over pending requests.
+
+    Attributes:
+        engine: The inference engine answering the gathered requests.
+    """
+
+    def __init__(self, engine) -> None:
+        self.engine = engine
+        self._scratch = {kind: GatherScratch() for kind in REQUEST_METHODS}
+
+    def run(self, pending: dict, step) -> int:
+        """Answer ``pending`` (``key -> InferRequest``), one call per kind.
+
+        Kinds run in :data:`REQUEST_METHODS` order, keys ascending; each
+        ``step(key, rows)`` runs before the next kind is evaluated, and an
+        unknown kind gets ``step(key, ValueError)``.  Returns rows evaluated.
+        """
+        keys = sorted(pending)
+        rows = 0
+        for kind, scratch in self._scratch.items():
+            owners = [k for k in keys if pending[k].kind == kind]
+            if not owners:
+                continue
+            blocks = [pending[k].features for k in owners]
+            merged = evaluate_request(
+                self.engine, InferRequest(kind, scratch.gather(blocks))
+            )
+            offset = 0
+            for key, block in zip(owners, blocks):
+                n = int(block.shape[0])
+                step(key, merged[offset : offset + n])
+                offset += n
+            rows += offset
+        for key in keys:
+            kind = pending[key].kind
+            if kind not in self._scratch:
+                step(key, ValueError(f"unknown request kind {kind!r}"))
+        return rows
+
+    def drain(self, gens: list) -> tuple[list, int]:
+        """Run fresh generators to completion: ``(outcomes, rounds)``."""
+        outcomes: list = [None] * len(gens)
+        pending: dict[int, InferRequest] = {}
+
+        def step(i: int, answer) -> None:
+            try:
+                pending[i] = advance(gens[i], answer)
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+
+        for i in range(len(gens)):
+            step(i, None)
+        rounds = 0
+        while pending:
+            ready, pending = pending, {}
+            self.run(ready, step)
+            rounds += 1
+        return outcomes, rounds
+
+
 def localize_many(
     pipeline,
     event_sets,
@@ -129,6 +193,9 @@ def localize_many(
 
     Returns:
         One ``MLPipelineOutcome`` per exposure, in input order.
+
+    Raises:
+        ValueError: Mismatched ``rngs``, or an unknown request kind.
     """
     event_sets = list(event_sets)
     rngs = list(rngs)
@@ -136,43 +203,11 @@ def localize_many(
         raise ValueError("need exactly one rng per event set")
     if engine is None:
         engine = build_engine(pipeline, "planned")
-
     gens = [
         pipeline.localize_requests(events, rng, halt_after=halt_after)
         for events, rng in zip(event_sets, rngs)
     ]
-    outcomes: list = [None] * len(gens)
-    pending: dict[int, InferRequest] = {}
-
-    def _advance(i: int, payload) -> None:
-        """Step generator ``i``; file its next request or its outcome."""
-        try:
-            request = next(gens[i]) if payload is None else gens[i].send(payload)
-        except StopIteration as stop:
-            outcomes[i] = stop.value
-        else:
-            pending[i] = request
-
-    scratch = {kind: GatherScratch() for kind in _REQUEST_KINDS}
-    rounds = 0
     with obs_trace.span("infer.localize_many"):
-        for i in range(len(gens)):
-            _advance(i, None)
-        while pending:
-            rounds += 1
-            ready, pending = pending, {}
-            for kind in _REQUEST_KINDS:
-                idxs = [i for i in sorted(ready) if ready[i].kind == kind]
-                if not idxs:
-                    continue
-                blocks = [ready[i].features for i in idxs]
-                lengths = [int(b.shape[0]) for b in blocks]
-                merged = evaluate_request(
-                    engine,
-                    InferRequest(kind, scratch[kind].gather(blocks)),
-                )
-                offsets = np.cumsum([0] + lengths)
-                for j, i in enumerate(idxs):
-                    _advance(i, merged[offsets[j] : offsets[j + 1]])
+        outcomes, rounds = LocalizationRound(engine).drain(gens)
         obs_metrics.inc("infer.gather_rounds", rounds)
     return outcomes

@@ -21,6 +21,7 @@ payload (broadcast once per campaign, not per chunk).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -107,13 +108,18 @@ class PlannedEngine:
         return self.deta_net.deta_from_raw(raw)
 
 
+#: Request kind -> engine method, in the order a batched round runs them.
+REQUEST_METHODS = MappingProxyType(
+    {"background": "background_proba", "deta": "deta"}
+)
+
+
 def evaluate_request(engine, request: InferRequest) -> np.ndarray:
-    """Answer one :class:`InferRequest` with the given engine."""
-    if request.kind == "background":
-        return engine.background_proba(request.features)
-    if request.kind == "deta":
-        return engine.deta(request.features)
-    raise ValueError(f"unknown request kind {request.kind!r}")
+    """Answer one :class:`InferRequest` (``ValueError`` for unknown kinds)."""
+    method = REQUEST_METHODS.get(request.kind)
+    if method is None:
+        raise ValueError(f"unknown request kind {request.kind!r}")
+    return getattr(engine, method)(request.features)
 
 
 def build_engine(

@@ -11,10 +11,11 @@ utilization histograms surface.
 
 from __future__ import annotations
 
-import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+
+from repro.obs.slo import exact_percentile
 
 
 @dataclass
@@ -48,11 +49,7 @@ class StageStats:
     @property
     def p95_ms(self) -> float:
         """95th-percentile span duration, ms (nearest-rank)."""
-        if not self.durations:
-            return 0.0
-        ordered = sorted(self.durations)
-        rank = max(0, math.ceil(0.95 * len(ordered)) - 1)
-        return ordered[min(rank, len(ordered) - 1)]
+        return exact_percentile(self.durations, 0.95)
 
 
 def summarize(events: list[dict]) -> list[StageStats]:

@@ -45,7 +45,7 @@ from repro.localization.pipeline import (
     prepare_rings,
 )
 from repro.localization.skymap import SkyMap
-from repro.infer.engine import InferRequest, evaluate_request
+from repro.infer import EagerEngine, InferRequest, LocalizationRound
 from repro.models.background import BackgroundNet
 from repro.models.deta import DEtaNet
 from repro.obs import metrics as obs_metrics
@@ -251,12 +251,12 @@ class MLPipeline:
         Yields :class:`~repro.infer.engine.InferRequest` items whenever a
         network evaluation is needed and expects the prediction array
         back via ``send``; the final :class:`MLPipelineOutcome` is the
-        generator's return value (``StopIteration.value``).  This is the
-        seam the batched campaign front-end
-        (:func:`repro.infer.localize_many`) uses to gather feature blocks
-        across many events into one planned pass per round — all
-        localization math and RNG draws stay inside the generator, in
-        exactly the order of a solo run.
+        generator's return value (``StopIteration.value``).  One driver,
+        :class:`repro.infer.batch.LocalizationRound`, answers it for
+        :meth:`localize`, :func:`repro.infer.localize_many` and the
+        serving scheduler, gathering feature blocks across events into
+        one engine pass per round — all localization math and RNG draws
+        stay inside the generator, in exactly the order of a solo run.
 
         Args:
             events: Digitized events.
@@ -367,16 +367,6 @@ class MLPipeline:
             sky=self._skymap(survivors),
         )
 
-    def _evaluate(self, request, engine) -> np.ndarray:
-        """Answer one inference request (eager bundles when no engine)."""
-        if engine is not None:
-            return evaluate_request(engine, request)
-        if request.kind == "background":
-            return self.background_net.predict_proba(request.features)
-        if request.kind == "deta":
-            return self.deta_net.predict_deta(request.features)
-        raise ValueError(f"unknown request kind {request.kind!r}")
-
     @obs_trace.traced("ml.localize")
     def localize(
         self,
@@ -394,18 +384,19 @@ class MLPipeline:
                 background-rejection iterations (skipping the dEta stage)
                 and report the current estimate; None runs to completion.
             engine: Inference backend answering the network requests
-                (see :func:`repro.infer.build_engine`); None evaluates
-                the bundles eagerly — the reference path.  The default
-                planned engine is bit-identical to the reference on
-                per-event blocks (pinned by ``tests/infer``).
+                (see :func:`repro.infer.build_engine`); None means an
+                ``EagerEngine`` over this pipeline's bundles — the
+                reference path, which a planned float64 engine matches
+                bit for bit on per-event blocks (pinned by ``tests/infer``).
 
         Returns:
             An :class:`MLPipelineOutcome`.
+
+        Raises:
+            ValueError: The loop yielded a request of an unknown kind.
         """
+        if engine is None:
+            engine = EagerEngine(self.background_net, self.deta_net)
         gen = self.localize_requests(events, rng, halt_after=halt_after)
-        try:
-            request = next(gen)
-            while True:
-                request = gen.send(self._evaluate(request, engine))
-        except StopIteration as stop:
-            return stop.value
+        (outcome,), _ = LocalizationRound(engine).drain([gen])
+        return outcome

@@ -1,16 +1,14 @@
 """Micro-batch scheduler: coalesce requests across clients, flush in rounds.
 
-The serving counterpart of :func:`repro.infer.batch.localize_many`.  Each
-admitted localization is a :class:`ServeJob` wrapping the event's
+Each admitted localization is a :class:`ServeJob` wrapping the event's
 ``localize_requests`` generator.  Jobs file :class:`InferRequest`\\ s into
-a pending set; a *flush* runs one lock-step round over the whole set —
-for each request kind, gather every pending feature block (reusing
-:class:`~repro.infer.batch.GatherScratch`), evaluate the fused engine
-once, scatter the row slices back, and advance each generator to its
-next request or its outcome.  Jobs are processed in ascending ``job_id``
-(submission) order within a round, so batching is FIFO-fair and the
-groupings match ``localize_many`` exactly when clients submit together —
-served outcomes are then bit-identical to the batch path.
+a pending set; a *flush* runs the same
+:class:`~repro.infer.batch.LocalizationRound` that ``MLPipeline.localize``
+and ``localize_many`` drain, keyed by ``job_id`` — FIFO-fair, and
+bit-identical to ``localize_many`` when clients submit together.  The
+scheduler keeps only the serving bookkeeping: when to flush, per-job
+timing and round counts, and error isolation (a failing generator fails
+its own job, not the batch).
 
 Flush *triggers* (checked by :meth:`MicroBatchScheduler.due`):
 
@@ -32,8 +30,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.infer.batch import _REQUEST_KINDS, GatherScratch
-from repro.infer.engine import InferRequest, evaluate_request
+from repro.infer.batch import LocalizationRound, advance
+from repro.infer.engine import InferRequest
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -105,7 +103,6 @@ class MicroBatchScheduler:
     """Lock-step micro-batcher over many clients' request generators.
 
     Attributes:
-        engine: The fused inference engine answering gathered requests.
         policy: The :class:`BatchPolicy` flush triggers.
         live: Jobs added and not yet completed.
         rounds: Total flush rounds executed.
@@ -114,7 +111,6 @@ class MicroBatchScheduler:
 
     def __init__(self, engine, policy: BatchPolicy | None = None,
                  clock=time.monotonic) -> None:
-        self.engine = engine
         self.policy = policy if policy is not None else BatchPolicy()
         self.live = 0
         self.rounds = 0
@@ -122,7 +118,7 @@ class MicroBatchScheduler:
         self.flush_reasons: dict[str, int] = {}
         self._clock = clock
         self._pending: dict[int, ServeJob] = {}
-        self._scratch = {kind: GatherScratch() for kind in _REQUEST_KINDS}
+        self._round = LocalizationRound(engine)
 
     @property
     def pending_requests(self) -> int:
@@ -186,34 +182,15 @@ class MicroBatchScheduler:
         """
         ready, self._pending = self._pending, {}
         completed: list[ServeJob] = []
-        rows = 0
+
+        def step(job_id: int, answer) -> None:
+            ready[job_id].rounds += 1
+            self._advance(ready[job_id], answer, completed)
+
         with obs_trace.span("serve.flush"):
-            for kind in _REQUEST_KINDS:
-                ids = [j for j in sorted(ready) if ready[j].request.kind == kind]
-                if not ids:
-                    continue
-                blocks = [ready[j].request.features for j in ids]
-                lengths = [int(b.shape[0]) for b in blocks]
-                merged = evaluate_request(
-                    self.engine,
-                    InferRequest(kind, self._scratch[kind].gather(blocks)),
-                )
-                offset = 0
-                for j, n in zip(ids, lengths):
-                    job = ready.pop(j)
-                    job.request = None
-                    job.rounds += 1
-                    self._advance(job, merged[offset : offset + n], completed)
-                    offset += n
-                rows += sum(lengths)
-            for job in ready.values():  # unhandled kinds: fail, don't hang
-                job.request = None
-                job.error = ValueError(
-                    f"unknown request kind from job {job.job_id}"
-                )
-                job.done = True
-                self.live -= 1
-                completed.append(job)
+            rows = self._round.run(
+                {job_id: job.request for job_id, job in ready.items()}, step
+            )
         self.rounds += 1
         self.rows_flushed += rows
         self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1
@@ -222,29 +199,24 @@ class MicroBatchScheduler:
         obs_metrics.observe("serve.batch_rows", float(rows))
         return sorted(completed, key=lambda job: job.job_id)
 
-    def _advance(self, job: ServeJob, payload, completed: list[ServeJob]) -> None:
+    def _advance(self, job: ServeJob, answer, completed: list[ServeJob]) -> None:
         """Step a job's generator; file its next request or finish it."""
+        job.request = None
         try:
-            if payload is None:
-                request = next(job.gen)
-            else:
-                request = job.gen.send(payload)
+            job.request = advance(job.gen, answer)
         except StopIteration as stop:
             job.outcome = stop.value
-            job.done = True
-            self.live -= 1
-            completed.append(job)
             if obs_trace.is_enabled():
                 obs_metrics.observe(
                     "serve.request_ms", (self._clock() - job.t_submit) * 1e3
                 )
         except Exception as exc:  # surface in the job, keep the batch alive
             job.error = exc
-            job.done = True
-            self.live -= 1
-            completed.append(job)
             obs_metrics.inc("serve.job_errors")
         else:
-            job.request = request
             job.t_enqueue = self._clock()
             self._pending[job.job_id] = job
+            return
+        job.done = True
+        self.live -= 1
+        completed.append(job)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.infer import GatherScratch, build_engine, localize_many
+from repro.infer import GatherScratch, InferRequest, build_engine, localize_many
+from repro.pipeline.ml_pipeline import MLPipeline
+from repro.serve.scheduler import MicroBatchScheduler, ServeJob
 
 
 def _simulated(geometry, response, seed, n):
@@ -196,3 +198,55 @@ class TestBatchedCampaign:
             ml_pipeline=tiny_models,
         )
         assert errors.shape == (5,)
+
+
+class EchoEngine:
+    """Engine double: answers row ``x`` with ``x + tag`` per kind."""
+
+    def background_proba(self, features):
+        return features[:, 0] + 1000.0
+
+    def deta(self, features):
+        return features[:, 0] + 2000.0
+
+
+class LogitsPipeline(MLPipeline):
+    """Pipeline double whose loop files a request of an unknown kind."""
+
+    def localize_requests(self, events, rng, halt_after=None):
+        yield InferRequest("background", np.zeros((2, 1)))
+        yield InferRequest("logits", np.zeros((1, 1)))
+        return "unreachable"
+
+
+def _via_localize(pipeline):
+    return pipeline.localize(None, np.random.default_rng(0), engine=EchoEngine())
+
+
+def _via_localize_many(pipeline):
+    return localize_many(
+        pipeline, [None], [np.random.default_rng(0)], engine=EchoEngine()
+    )
+
+
+def _via_scheduler(pipeline):
+    sched = MicroBatchScheduler(EchoEngine())
+    gen = pipeline.localize_requests(None, np.random.default_rng(0))
+    sched.add(ServeJob(0, gen, 0.0))
+    sched.flush()
+    (job,) = sched.flush()
+    if job.error is not None:
+        raise job.error
+    return job.outcome
+
+
+class TestLocalizationRound:
+    @pytest.mark.parametrize(
+        "drive",
+        [_via_localize, _via_localize_many, _via_scheduler],
+        ids=["localize", "localize_many", "scheduler_flush"],
+    )
+    def test_unknown_request_kind_raises_in_every_driver(self, drive):
+        with pytest.raises(ValueError, match="unknown request kind 'logits'"):
+            drive(LogitsPipeline(background_net=None, deta_net=None))
+

@@ -387,6 +387,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_serve_flags(p: argparse.ArgumentParser) -> None:
     """Pipeline/batching knobs shared by ``serve`` and ``serve-load``."""
+    from repro.serve.scheduler import BatchPolicy
+
     p.add_argument("--pipeline", default="pipeline.pkl",
                    help="trained pipeline file")
     p.add_argument("--seed", type=int, default=7)
@@ -394,11 +396,14 @@ def _add_serve_flags(p: argparse.ArgumentParser) -> None:
                    help="simulated burst fluence, MeV/cm^2")
     p.add_argument("--polar", type=float, default=30.0,
                    help="simulated source polar angle, degrees")
+    default_deadline_ms = BatchPolicy().deadline_s * 1e3
     p.add_argument("--deadline-ms", dest="deadline_ms", type=float,
-                   default=2.0, metavar="MS",
-                   help="micro-batch coalescing deadline: the oldest "
-                        "pending request waits at most this long before "
-                        "a flush (default 2 ms)")
+                   default=default_deadline_ms, metavar="MS",
+                   help="micro-batch coalescing window: 0 is "
+                        "work-conserving (flush whenever anything is "
+                        "pending); a positive value is an opt-in window "
+                        "the oldest pending request may wait for peers "
+                        f"(default {default_deadline_ms:g} ms)")
     p.add_argument("--max-requests", dest="max_requests", type=int,
                    default=64, metavar="N",
                    help="flush as soon as N requests are pending "

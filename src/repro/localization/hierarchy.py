@@ -257,6 +257,10 @@ def evaluate_cells(
     fidelity at every level and, at the leaves, accounts for the
     pixelization itself.
 
+    The ``(rings, cells)`` chi-square is built in place in one buffer
+    (plus the broadened-variance buffer it is divided by), bitwise equal
+    to the expression ``(c . s - eta)^2 / sigma^2`` evaluated naively.
+
     Args:
         rings: Rings entering localization.
         cells: Cells to evaluate.
@@ -268,13 +272,13 @@ def evaluate_cells(
         ``(log_like, log_post)`` arrays of shape ``(num_cells,)``; both
         are unnormalized (constant offsets drop out on normalization).
     """
-    resid = rings.axis @ cells.centers().T - rings.eta[:, None]
-    sigma2 = (
-        rings.deta[:, None] ** 2 + cells.half_widths_rad()[None, :] ** 2
-    )
-    chi2 = resid * resid / sigma2  # reprolint: disable=NUM002 -- deta is floored at DETA_FLOOR and half-widths are non-negative, so sigma2 > 0
+    chi2 = rings.axis @ cells.centers().T
+    chi2 -= rings.eta[:, None]
+    np.square(chi2, out=chi2)
+    sigma2 = np.add.outer(rings.deta**2, cells.half_widths_rad() ** 2)
+    chi2 /= sigma2  # reprolint: disable=NUM002 -- deta is floored at DETA_FLOOR and half-widths are non-negative, so sigma2 > 0
     if cap is not None:
-        chi2 = np.minimum(chi2, cap)
+        np.minimum(chi2, cap, out=chi2)
     log_like = -0.5 * chi2.sum(axis=0) / temperature  # reprolint: disable=NUM002 -- temperature > 0 enforced by SkymapConfig; bare floats are caller-validated
     log_post = log_like + np.log(cells.areas_sr())  # reprolint: disable=NUM001 -- cell areas strictly positive: bands and azimuth slots are non-degenerate by construction
     return log_like, log_post

@@ -41,6 +41,10 @@ def capped_chi_square(
     Capping (a truncated-quadratic robust loss) keeps background rings from
     dominating the approximation stage.
 
+    The score is built in one ``(m, d)`` buffer — product, residual,
+    scaled residual, square and cap all in place — and is bitwise equal
+    to ``np.minimum(ring_chi_square(rings, directions), cap).sum(axis=0)``.
+
     Args:
         rings: ``m`` rings.
         directions: ``(d, 3)`` candidate unit directions.
@@ -49,8 +53,13 @@ def capped_chi_square(
     Returns:
         ``(d,)`` capped chi-square sums.
     """
-    chi2 = ring_chi_square(rings, np.atleast_2d(directions))
-    return np.minimum(chi2, cap).sum(axis=0)
+    dirs = np.atleast_2d(np.asarray(directions, dtype=np.float64))
+    chi2 = rings.axis @ dirs.T
+    chi2 -= rings.eta[:, None]
+    chi2 /= rings.deta[:, None]  # reprolint: disable=NUM002 -- RingSet.deta is floored at DETA_FLOOR by reconstruction.error_propagation
+    np.square(chi2, out=chi2)
+    np.minimum(chi2, cap, out=chi2)
+    return chi2.sum(axis=0)
 
 
 def joint_log_likelihood(rings: RingSet, direction: np.ndarray) -> float:

@@ -61,13 +61,22 @@ class RefinementResult:
     converged: bool
 
 
-def _solve_weighted(rings: RingSet, mask: np.ndarray, ridge: float) -> np.ndarray | None:
-    """One weighted least-squares solve over the masked rings."""
-    axis = rings.axis[mask]
-    eta = rings.eta[mask]
-    w = 1.0 / rings.deta[mask] ** 2  # reprolint: disable=NUM002 -- deta >= DETA_FLOOR > 0 (reconstruction.error_propagation)
-    a = (axis * w[:, None]).T @ axis
-    b = (axis * (w * eta)[:, None]).sum(axis=0)
+def _solve_weighted(
+    axis: np.ndarray,
+    axis_w: np.ndarray,
+    axis_w_eta: np.ndarray,
+    mask: np.ndarray,
+    ridge: float,
+) -> np.ndarray | None:
+    """One weighted least-squares solve over the masked rings.
+
+    ``axis_w`` and ``axis_w_eta`` are the per-ring rows ``w c`` and
+    ``w eta c`` (``w = 1 / d eta^2``), computed once per refinement;
+    selecting their rows gives the same normal equations as weighting
+    the masked rings afresh.
+    """
+    a = axis_w[mask].T @ axis[mask]
+    b = axis_w_eta[mask].sum(axis=0)
     a += np.eye(3) * (ridge * max(np.trace(a), 1.0))
     try:
         s = np.linalg.solve(a, b)
@@ -104,6 +113,13 @@ def refine_source(
     if m == 0:
         return RefinementResult(direction=s, used=used, iterations=0, converged=False)
 
+    # Loop invariants: the weighted rows of the normal equations.  The
+    # solve is a pure function of the gate mask, so an unchanged mask
+    # reuses the previous solution instead of re-solving.
+    w = 1.0 / rings.deta**2  # reprolint: disable=NUM002 -- deta >= DETA_FLOOR > 0 (reconstruction.error_propagation)
+    axis_w = rings.axis * w[:, None]
+    axis_w_eta = rings.axis * (w * rings.eta)[:, None]
+    solved_gate = None
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
@@ -113,7 +129,11 @@ def refine_source(
             order = np.argsort(normalized)
             gate = np.zeros(m, dtype=bool)
             gate[order[: min(cfg.min_rings, m)]] = True
-        s_new = _solve_weighted(rings, gate, cfg.ridge)
+        if solved_gate is None or not np.array_equal(gate, solved_gate):
+            s_new = _solve_weighted(
+                rings.axis, axis_w, axis_w_eta, gate, cfg.ridge
+            )
+            solved_gate = gate
         if s_new is None:
             break
         used = gate

@@ -181,6 +181,32 @@ def _ring_block(n: int = BLOCK_ROWS):
     )
 
 
+@register("capped_chi2_rings597x864", op="localization.capped_chi_square")
+def _bench_capped_chi_square():
+    # The approximation stage's scoring: every ring against the cone
+    # candidates of a 12-ring sample at 72 azimuths (864 directions).
+    # rows = candidate directions scored per call.
+    from repro.localization.approximation import cone_points
+    from repro.localization.likelihood import capped_chi_square
+
+    rings = _ring_block()
+    candidates = cone_points(rings.axis[:12], rings.eta[:12], 72)
+    return (
+        lambda: capped_chi_square(rings, candidates, cap=4.0)
+    ), candidates.shape[0]
+
+
+@register("refine_source_rings597", op="localization.refine_source")
+def _bench_refine_source():
+    # One robust gate-and-solve refinement from a seed ~3 degrees off
+    # the source.  rows = rings entering the refinement.
+    from repro.localization.refinement import refine_source
+
+    rings = _ring_block()
+    start = rings.source_direction + np.array([0.05, 0.0, 0.0])
+    return (lambda: refine_source(rings, start)), rings.num_rings
+
+
 @register("skymap_evaluate_coarse8deg", op="skymap.evaluate_cells")
 def _bench_skymap_evaluate():
     # Level-0 of the hierarchical sky search: 597 rings against every

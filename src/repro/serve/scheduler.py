@@ -16,8 +16,13 @@ Flush *triggers* (checked by :meth:`MicroBatchScheduler.due`):
   pending feature rows reach ``BatchPolicy.max_rows``; flush now, the
   batch is as big as we allow.
 * **deadline** — the oldest pending request has waited
-  ``BatchPolicy.deadline_s``; flush what we have.  The deadline is the
-  coalescing window: raising it trades single-request latency for bigger
+  ``BatchPolicy.deadline_s``; flush what we have.  The default window is
+  ``0``: the scheduler is *work-conserving* and flushes whenever it runs
+  with anything pending.  Coalescing still happens without a timed
+  window — every live job refiles its next request inside the
+  synchronous flush, and submissions that arrive while a round computes
+  join the next one.  A positive window is an opt-in bet that more
+  arrivals land within it, trading single-request latency for bigger
   fused batches.
 
 The scheduler is deliberately synchronous and asyncio-free — the server
@@ -44,12 +49,14 @@ class BatchPolicy:
         max_rows: Flush when pending feature rows reach this many.
         max_requests: Flush when this many requests are pending.
         deadline_s: Flush when the oldest pending request has waited
-            this long (seconds); ``0`` flushes on every scheduler pass.
+            this long (seconds).  The default ``0`` flushes on every
+            scheduler pass that finds work pending (work-conserving); a
+            positive value is an opt-in coalescing window.
     """
 
     max_rows: int = 65536
     max_requests: int = 64
-    deadline_s: float = 0.002
+    deadline_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_rows < 1:

@@ -36,12 +36,6 @@ from repro.infer.engine import build_engine
 from repro.serve.admission import AdmissionController, ServerClosed
 from repro.serve.scheduler import BatchPolicy, MicroBatchScheduler, ServeJob
 
-#: Deadline used by :func:`serve_events` between lock-step rounds: long
-#: enough that every straggler generator refiles first, short enough to
-#: add negligible wall time (~0.5 ms x rounds).
-_LOCKSTEP_DEADLINE_S = 0.0005
-
-
 @dataclass(frozen=True)
 class ServeConfig:
     """Server-level knobs: admission bound plus the batch policy.
@@ -236,8 +230,9 @@ class LocalizationServer:
         while True:
             reason = self.scheduler.due(self._clock())
             if reason is None and self._draining and self.scheduler.live:
-                # No new work can arrive, so waiting out the deadline
-                # only delays the remaining jobs: flush eagerly.
+                # No new work can arrive, so waiting out an opt-in
+                # coalescing window only delays the remaining jobs:
+                # flush eagerly.
                 reason = "drain"
             if reason is not None:
                 for job in self.scheduler.flush(reason):
@@ -269,18 +264,21 @@ def serve_events(pipeline, event_sets, rngs, engine=None,
 
     Spins up a :class:`LocalizationServer` on its own event loop, submits
     every exposure concurrently with cooperative backpressure, drains,
-    and returns the outcomes in input order.  The default config sizes
-    the first fused round to the full submission set
-    (``max_requests=len(event_sets)``), which makes the round groupings —
-    and therefore the outcomes — bit-identical to
-    :func:`repro.infer.batch.localize_many` on the same inputs.
+    and returns the outcomes in input order.  The default config
+    (``max_requests=len(event_sets)``, work-conserving deadline) makes
+    the round groupings — and therefore the outcomes — bit-identical to
+    :func:`repro.infer.batch.localize_many` on the same inputs: every
+    submission files its first request before the scheduler task next
+    runs, and every live job refiles inside each synchronous flush, so
+    each round holds all unfinished exposures.
 
     Args:
         pipeline: A trained ``MLPipeline``.
         event_sets: One digitized ``EventSet`` per exposure.
         rngs: One ``numpy.random.Generator`` per exposure.
         engine: Inference engine; None builds the default planned engine.
-        config: Server config; None uses the lock-step default above.
+        config: Server config; None uses the lock-step default above
+            (``queue_limit`` and ``max_requests`` both ``len(event_sets)``).
         halt_after: Anytime knob forwarded to every localization.
 
     Returns:
@@ -295,10 +293,7 @@ def serve_events(pipeline, event_sets, rngs, engine=None,
     if config is None:
         n = len(event_sets)
         config = ServeConfig(
-            queue_limit=n,
-            policy=BatchPolicy(
-                max_requests=n, deadline_s=_LOCKSTEP_DEADLINE_S
-            ),
+            queue_limit=n, policy=BatchPolicy(max_requests=n)
         )
 
     async def _serve() -> list:

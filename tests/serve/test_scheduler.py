@@ -123,6 +123,21 @@ class TestTriggers:
         clock.advance(0.15)
         assert sched.due() == "deadline"
 
+    def test_default_policy_is_work_conserving(self):
+        """A clock that never advances: the default policy must still
+        report a flush due right after add and after every flush — no
+        timed coalescing window by default."""
+        received = []
+        sched = make_scheduler(FakeClock())
+        add_job(sched, 0, request_gen(0, 3, received))
+        assert sched.due() == "deadline"
+        for _ in range(2):
+            assert sched.flush(sched.due()) == []
+            assert sched.due() == "deadline"
+        (job,) = sched.flush(sched.due())
+        assert job.outcome == "done-0"
+        assert sched.due() is None
+
     def test_zero_deadline_is_always_due(self):
         received = []
         sched = make_scheduler(deadline_s=0.0)

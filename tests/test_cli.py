@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.serve.scheduler import BatchPolicy
 
 
 class TestParser:
@@ -27,7 +28,7 @@ class TestParser:
         args = build_parser().parse_args(["serve"])
         assert args.chunks == 4
         assert args.chunk_size == 4
-        assert args.deadline_ms == 2.0
+        assert args.deadline_ms == BatchPolicy().deadline_s * 1e3
         assert args.max_requests == 64
         assert args.queue_limit == 256
 

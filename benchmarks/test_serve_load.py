@@ -6,8 +6,8 @@ awaits the outcome, immediately submits the next) over a pre-simulated
 event pool, so the measured path is pure serving + batched inference —
 no simulation in the loop.  Three client counts bracket the batching
 regimes: a single client (passthrough, no coalescing), a moderate fan-in
-(micro-batches form under the deadline), and a full fan-in (every flush
-gathers most clients).
+(micro-batches form from the requests that pile up while a round
+computes), and a full fan-in (every flush gathers most clients).
 
 The parity test asserts the served outcomes are *bitwise* identical to
 the offline ``localize_many`` path on the same inputs before any timing

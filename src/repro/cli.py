@@ -9,7 +9,8 @@ The subcommands cover the common workflows without writing any Python:
   ML-pipeline trials at a chosen experimental point.
 * ``python -m repro.cli figure`` — reproduce one paper figure.
 * ``python -m repro.cli serve`` — stream simulated event-set chunks
-  through the micro-batching localization server (docs/serving.md).
+  through the work-conserving micro-batching localization server
+  (docs/serving.md); ``--queue-limit`` is its one server knob.
 * ``python -m repro.cli serve-load`` — closed-loop load generator:
   sustained req/s and latency percentiles at N concurrent clients.
 * ``python -m repro.cli trace-summary`` — render the per-stage table of a
@@ -236,18 +237,11 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _build_serve_parts(args: argparse.Namespace):
     from repro.infer import build_engine
     from repro.io.datasets import load_pipeline
-    from repro.serve import BatchPolicy, ServeConfig
+    from repro.serve import ServeConfig
 
     pipeline = load_pipeline(args.pipeline)
     engine = build_engine(pipeline, "planned", dtype=args.infer_dtype)
-    config = ServeConfig(
-        queue_limit=args.queue_limit,
-        policy=BatchPolicy(
-            max_rows=args.max_rows,
-            max_requests=args.max_requests,
-            deadline_s=args.deadline_ms / 1e3,
-        ),
-    )
+    config = ServeConfig(queue_limit=args.queue_limit)
     return pipeline, engine, config
 
 
@@ -270,9 +264,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
          for i in range(args.chunk_size)]
         for c in range(args.chunks)
     ]
-    log.status(f"serving (deadline {args.deadline_ms} ms, "
-               f"max {args.max_requests} requests/batch, "
-               f"queue limit {config.queue_limit})")
+    log.status(f"serving (queue limit {config.queue_limit})")
 
     async def _stream():
         server = LocalizationServer(pipeline, engine=engine, config=config)
@@ -288,12 +280,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     stats = asyncio.run(_stream())
     rounds = stats["rounds"]
     mean_rows = stats["rows_flushed"] / rounds if rounds else 0.0
-    reasons = ", ".join(
-        f"{k}={v}" for k, v in sorted(stats["flush_reasons"].items())
-    ) or "none"
     log.result(f"served {stats['admission']['accepted']} requests in "
-               f"{rounds} fused rounds "
-               f"(mean {mean_rows:.1f} rows/round; flushes: {reasons})")
+               f"{rounds} fused rounds (mean {mean_rows:.1f} rows/round)")
     return 0
 
 
@@ -307,8 +295,7 @@ def _cmd_serve_load(args: argparse.Namespace) -> int:
     pool = synthetic_event_pool(
         args.pool, args.seed, fluence=args.fluence, polar_deg=args.polar
     )
-    log.status(f"load: {args.clients} clients x {args.requests} requests "
-               f"(deadline {args.deadline_ms} ms)")
+    log.status(f"load: {args.clients} clients x {args.requests} requests")
     report = run_load(
         pipeline,
         pool,
@@ -386,9 +373,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_serve_flags(p: argparse.ArgumentParser) -> None:
-    """Pipeline/batching knobs shared by ``serve`` and ``serve-load``."""
-    from repro.serve.scheduler import BatchPolicy
-
+    """Pipeline/admission knobs shared by ``serve`` and ``serve-load``."""
     p.add_argument("--pipeline", default="pipeline.pkl",
                    help="trained pipeline file")
     p.add_argument("--seed", type=int, default=7)
@@ -396,22 +381,6 @@ def _add_serve_flags(p: argparse.ArgumentParser) -> None:
                    help="simulated burst fluence, MeV/cm^2")
     p.add_argument("--polar", type=float, default=30.0,
                    help="simulated source polar angle, degrees")
-    default_deadline_ms = BatchPolicy().deadline_s * 1e3
-    p.add_argument("--deadline-ms", dest="deadline_ms", type=float,
-                   default=default_deadline_ms, metavar="MS",
-                   help="micro-batch coalescing window: 0 is "
-                        "work-conserving (flush whenever anything is "
-                        "pending); a positive value is an opt-in window "
-                        "the oldest pending request may wait for peers "
-                        f"(default {default_deadline_ms:g} ms)")
-    p.add_argument("--max-requests", dest="max_requests", type=int,
-                   default=64, metavar="N",
-                   help="flush as soon as N requests are pending "
-                        "(default 64)")
-    p.add_argument("--max-rows", dest="max_rows", type=int, default=65536,
-                   metavar="N",
-                   help="flush as soon as N feature rows are pending "
-                        "(default 65536)")
     p.add_argument("--queue-limit", dest="queue_limit", type=int,
                    default=256, metavar="N",
                    help="admission limit on in-flight requests "

@@ -3,7 +3,8 @@
 The "millions of users" layer: a long-lived server that accepts a
 continuous stream of digitized event sets from many concurrent clients,
 coalesces their inference requests into fused engine calls through a
-micro-batch scheduler (deadline- or size-triggered flush), bounds
+work-conserving micro-batch scheduler (one round over everything
+pending whenever its task runs), bounds
 in-flight work with admission control (shed or backpressure), and drains
 gracefully on shutdown.  See ``docs/serving.md``.
 
@@ -11,8 +12,8 @@ Modules:
     server: :class:`LocalizationServer`, :class:`ServeConfig`,
         :func:`serve_events` (sync convenience, bit-identical to
         ``localize_many`` groupings).
-    scheduler: :class:`MicroBatchScheduler`, :class:`BatchPolicy`,
-        :class:`ServeJob` (asyncio-free, unit-testable core).
+    scheduler: :class:`MicroBatchScheduler`, :class:`ServeJob`
+        (asyncio-free, unit-testable core).
     admission: :class:`AdmissionController`, :class:`ServerOverloaded`
         (shed / 429), :class:`ServerClosed`.
     load: :func:`run_load` closed-loop load generator +
@@ -26,13 +27,12 @@ from repro.serve.admission import (
     ServerOverloaded,
 )
 from repro.serve.load import LoadReport, run_load, synthetic_event_pool
-from repro.serve.scheduler import BatchPolicy, MicroBatchScheduler, ServeJob
+from repro.serve.scheduler import MicroBatchScheduler, ServeJob
 from repro.serve.server import LocalizationServer, ServeConfig, serve_events
 
 __all__ = [
     "AdmissionController",
     "AdmissionError",
-    "BatchPolicy",
     "LoadReport",
     "LocalizationServer",
     "MicroBatchScheduler",

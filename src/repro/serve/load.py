@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro.obs.slo import exact_percentile
-from repro.serve.scheduler import BatchPolicy
 from repro.serve.server import LocalizationServer, ServeConfig
 
 
@@ -81,7 +80,6 @@ class LoadReport:
         max_ms: Worst per-request latency.
         rounds: Fused scheduler rounds executed.
         mean_batch_rows: Mean gathered feature rows per round.
-        flush_reasons: ``reason -> count`` over all flushes.
     """
 
     n_clients: int
@@ -96,7 +94,6 @@ class LoadReport:
     max_ms: float
     rounds: int
     mean_batch_rows: float
-    flush_reasons: dict
 
     def to_dict(self) -> dict:
         """The report as a JSON-ready dict."""
@@ -117,8 +114,7 @@ def run_load(pipeline, event_pool: list, *, seed: int, n_clients: int,
         n_clients: Concurrent clients.
         requests_per_client: Sequential requests per client.
         engine: Inference engine; None builds the default planned engine.
-        config: Server config; None uses ``queue_limit=n_clients`` and a
-            ``max_requests=n_clients`` / 1 ms-deadline batch policy.
+        config: Server config; None uses ``queue_limit=n_clients``.
         halt_after: Anytime knob forwarded to every localization.
 
     Returns:
@@ -129,10 +125,7 @@ def run_load(pipeline, event_pool: list, *, seed: int, n_clients: int,
     if not event_pool:
         raise ValueError("event_pool must not be empty")
     if config is None:
-        config = ServeConfig(
-            queue_limit=n_clients,
-            policy=BatchPolicy(max_requests=n_clients, deadline_s=0.001),
-        )
+        config = ServeConfig(queue_limit=n_clients)
     n_requests = n_clients * requests_per_client
     seeds = np.random.SeedSequence(seed).spawn(n_requests)
     latencies_ms: list[float] = []
@@ -175,5 +168,4 @@ def run_load(pipeline, event_pool: list, *, seed: int, n_clients: int,
         rounds=rounds,
         mean_batch_rows=round(stats["rows_flushed"] / rounds, 2)
         if rounds else 0.0,
-        flush_reasons=stats["flush_reasons"],
     )

@@ -30,24 +30,22 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.infer.engine import build_engine
 from repro.serve.admission import AdmissionController, ServerClosed
-from repro.serve.scheduler import BatchPolicy, MicroBatchScheduler, ServeJob
+from repro.serve.scheduler import MicroBatchScheduler, ServeJob
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Server-level knobs: admission bound plus the batch policy.
+    """Server-level knobs: the admission bound.
 
     Attributes:
         queue_limit: Maximum concurrently admitted localizations
-            (admission control bound).
-        policy: Micro-batch flush triggers (:class:`BatchPolicy`).
+            (admission control bound; it also bounds a flush round).
     """
 
     queue_limit: int = 256
-    policy: BatchPolicy = field(default_factory=BatchPolicy)
 
     def __post_init__(self) -> None:
         if self.queue_limit < 1:
@@ -77,9 +75,7 @@ class LocalizationServer:
             pipeline, "planned"
         )
         self.admission = AdmissionController(self.config.queue_limit)
-        self.scheduler = MicroBatchScheduler(
-            self.engine, self.config.policy, clock=clock
-        )
+        self.scheduler = MicroBatchScheduler(self.engine, clock=clock)
         self._clock = clock
         self._next_job_id = 0
         self._wake = asyncio.Event()
@@ -205,7 +201,6 @@ class LocalizationServer:
             "admission": self.admission.stats(),
             "rounds": self.scheduler.rounds,
             "rows_flushed": self.scheduler.rows_flushed,
-            "flush_reasons": dict(self.scheduler.flush_reasons),
             "live": self.scheduler.live,
         }
 
@@ -226,35 +221,19 @@ class LocalizationServer:
             fut.set_result(job.outcome)
 
     async def _run(self) -> None:
-        """Scheduler loop: flush when due, otherwise sleep until wake."""
+        """Scheduler loop: flush while anything is pending, else sleep."""
         while True:
-            reason = self.scheduler.due(self._clock())
-            if reason is None and self._draining and self.scheduler.live:
-                # No new work can arrive, so waiting out an opt-in
-                # coalescing window only delays the remaining jobs:
-                # flush eagerly.
-                reason = "drain"
-            if reason is not None:
-                for job in self.scheduler.flush(reason):
+            if self.scheduler.pending_requests:
+                for job in self.scheduler.flush():
                     self._resolve(job)
-                if self.scheduler.live == 0:
-                    self._idle.set()
                 await asyncio.sleep(0)  # let resolved clients run
                 continue
             if self.scheduler.live == 0:
                 self._idle.set()
                 if self._stopped:
                     return
-            deadline = self.scheduler.next_deadline()
-            timeout = (
-                None if deadline is None
-                else max(0.0, deadline - self._clock())
-            )
             self._wake.clear()
-            try:
-                await asyncio.wait_for(self._wake.wait(), timeout)
-            except TimeoutError:
-                pass
+            await self._wake.wait()
 
 
 def serve_events(pipeline, event_sets, rngs, engine=None,
@@ -264,9 +243,8 @@ def serve_events(pipeline, event_sets, rngs, engine=None,
 
     Spins up a :class:`LocalizationServer` on its own event loop, submits
     every exposure concurrently with cooperative backpressure, drains,
-    and returns the outcomes in input order.  The default config
-    (``max_requests=len(event_sets)``, work-conserving deadline) makes
-    the round groupings — and therefore the outcomes — bit-identical to
+    and returns the outcomes in input order.  The round groupings — and
+    therefore the outcomes — are bit-identical to
     :func:`repro.infer.batch.localize_many` on the same inputs: every
     submission files its first request before the scheduler task next
     runs, and every live job refiles inside each synchronous flush, so
@@ -277,8 +255,8 @@ def serve_events(pipeline, event_sets, rngs, engine=None,
         event_sets: One digitized ``EventSet`` per exposure.
         rngs: One ``numpy.random.Generator`` per exposure.
         engine: Inference engine; None builds the default planned engine.
-        config: Server config; None uses the lock-step default above
-            (``queue_limit`` and ``max_requests`` both ``len(event_sets)``).
+        config: Server config; None admits every exposure at once
+            (``queue_limit=len(event_sets)``).
         halt_after: Anytime knob forwarded to every localization.
 
     Returns:
@@ -291,10 +269,7 @@ def serve_events(pipeline, event_sets, rngs, engine=None,
     if not event_sets:
         return []
     if config is None:
-        n = len(event_sets)
-        config = ServeConfig(
-            queue_limit=n, policy=BatchPolicy(max_requests=n)
-        )
+        config = ServeConfig(queue_limit=len(event_sets))
 
     async def _serve() -> list:
         server = LocalizationServer(pipeline, engine=engine, config=config)

@@ -29,6 +29,15 @@ class TestTrialConfig:
         cfg = TrialConfig(condition="ml", infer_dtype="float32")
         assert cfg.infer_dtype == "float32"
 
+    def test_infer_option_mirrors_match_the_runtime(self):
+        # trials.py hand-copies these tuples to avoid importing the infer
+        # runtime; this pins the copies to the source of truth.
+        import repro.experiments.trials as trials
+        import repro.infer as infer
+
+        assert trials.INFER_BACKENDS == infer.INFER_BACKENDS
+        assert trials.INFER_DTYPES == infer.PLANNED_DTYPES
+
 
 class TestTrialError:
     def test_baseline_trial_runs(self, geometry, response):

@@ -1,4 +1,4 @@
-"""Micro-batch scheduler semantics: triggers, FIFO order, lock-step rounds.
+"""Micro-batch scheduler semantics: flush rule, FIFO order, lock-step rounds.
 
 These tests drive :class:`MicroBatchScheduler` synchronously with a fake
 clock, a fake engine, and hand-written request generators, so flush
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.infer.engine import InferRequest
-from repro.serve.scheduler import BatchPolicy, MicroBatchScheduler, ServeJob
+from repro.serve.scheduler import MicroBatchScheduler, ServeJob
 
 
 class FakeClock:
@@ -49,10 +49,9 @@ def request_gen(job_tag, n_rounds, received, kind="background"):
     return f"done-{job_tag}"
 
 
-def make_scheduler(clock=None, **policy_kwargs):
-    policy = BatchPolicy(**policy_kwargs) if policy_kwargs else BatchPolicy()
+def make_scheduler(clock=None, engine=None):
     return MicroBatchScheduler(
-        EchoEngine(), policy, clock=clock or FakeClock()
+        engine or EchoEngine(), clock=clock or FakeClock()
     )
 
 
@@ -62,87 +61,39 @@ def add_job(sched, job_id, gen):
     return job, completed
 
 
-class TestPolicy:
-    def test_rejects_bad_knobs(self):
-        with pytest.raises(ValueError, match="max_rows"):
-            BatchPolicy(max_rows=0)
-        with pytest.raises(ValueError, match="max_requests"):
-            BatchPolicy(max_requests=0)
-        with pytest.raises(ValueError, match="deadline_s"):
-            BatchPolicy(deadline_s=-0.1)
-
-
 class TestTriggers:
+    """The one flush rule: a round runs while anything is pending."""
+
     def test_idle_scheduler_is_never_due(self):
         sched = make_scheduler()
-        assert sched.due() is None
-        assert sched.next_deadline() is None
-
-    def test_size_trigger_on_request_count(self):
-        received = []
-        sched = make_scheduler(max_requests=2, deadline_s=60.0)
-        add_job(sched, 0, request_gen(0, 1, received))
-        assert sched.due() is None  # one pending, deadline far away
-        add_job(sched, 1, request_gen(1, 1, received))
-        assert sched.due() == "size"
-
-    def test_size_trigger_on_row_count(self):
-        sched = make_scheduler(max_rows=3, max_requests=100, deadline_s=60.0)
-
-        def wide_gen(rows):
-            yield InferRequest("background", np.zeros((rows, 1)))
-            return "done"
-
-        add_job(sched, 0, wide_gen(2))
-        assert sched.due() is None
-        add_job(sched, 1, wide_gen(2))
-        assert sched.pending_rows() == 4
-        assert sched.due() == "size"
-
-    def test_deadline_trigger_fires_after_oldest_request_ages(self):
-        clock = FakeClock()
-        received = []
-        sched = make_scheduler(clock, max_requests=100, deadline_s=0.5)
-        add_job(sched, 0, request_gen(0, 1, received))
-        assert sched.due() is None
-        assert sched.next_deadline() == pytest.approx(0.5)
-        clock.advance(0.3)
-        assert sched.due() is None
-        clock.advance(0.25)
-        assert sched.due() == "deadline"
-
-    def test_deadline_anchored_to_oldest_pending(self):
-        clock = FakeClock()
-        received = []
-        sched = make_scheduler(clock, max_requests=100, deadline_s=0.5)
-        add_job(sched, 0, request_gen(0, 1, received))
-        clock.advance(0.4)
-        add_job(sched, 1, request_gen(1, 1, received))
-        # The newer request does not push the deadline out.
-        assert sched.next_deadline() == pytest.approx(0.5)
-        clock.advance(0.15)
-        assert sched.due() == "deadline"
+        assert sched.pending_requests == 0
+        assert sched.live == 0
 
     def test_default_policy_is_work_conserving(self):
-        """A clock that never advances: the default policy must still
-        report a flush due right after add and after every flush — no
-        timed coalescing window by default."""
+        """A clock that never advances: a request is pending right after
+        add and after every flush until its job completes — no timed
+        coalescing window gates a round."""
         received = []
         sched = make_scheduler(FakeClock())
         add_job(sched, 0, request_gen(0, 3, received))
-        assert sched.due() == "deadline"
+        assert sched.pending_requests == 1
         for _ in range(2):
-            assert sched.flush(sched.due()) == []
-            assert sched.due() == "deadline"
-        (job,) = sched.flush(sched.due())
+            assert sched.flush() == []
+            assert sched.pending_requests == 1
+        (job,) = sched.flush()
         assert job.outcome == "done-0"
-        assert sched.due() is None
+        assert sched.pending_requests == 0
 
     def test_zero_deadline_is_always_due(self):
+        """With no time elapsed at all, a freshly filed request is already
+        pending and the very next flush answers it."""
         received = []
-        sched = make_scheduler(deadline_s=0.0)
+        sched = make_scheduler(FakeClock())
         add_job(sched, 0, request_gen(0, 1, received))
-        assert sched.due() == "deadline"
+        assert sched.pending_requests == 1
+        (job,) = sched.flush()
+        assert job.outcome == "done-0"
+        assert received == [(0, 0, 1000.0)]
 
 
 class TestFlush:
@@ -153,7 +104,7 @@ class TestFlush:
             add_job(sched, i, request_gen(i, 1, received))[0]
             for i in range(3)
         ]
-        completed = sched.flush("size")
+        completed = sched.flush()
         assert [j.job_id for j in completed] == [0, 1, 2]
         assert all(j.done for j in jobs)
         assert [j.outcome for j in jobs] == ["done-0", "done-1", "done-2"]
@@ -162,7 +113,6 @@ class TestFlush:
         assert sched.live == 0
         assert sched.rounds == 1
         assert sched.rows_flushed == 3
-        assert sched.flush_reasons == {"size": 1}
 
     def test_mixed_kinds_processed_in_fixed_order(self):
         received = []
@@ -240,3 +190,31 @@ class TestFlush:
         assert isinstance(job.error, ValueError)
         assert "unknown request kind" in str(job.error)
         assert sched.live == 0
+
+    def test_engine_error_fails_unanswered_jobs_and_scheduler_survives(self):
+        class FlakyEngine(EchoEngine):
+            def __init__(self):
+                self.failures = 1
+
+            def deta(self, features):
+                if self.failures:
+                    self.failures -= 1
+                    raise RuntimeError("engine down")
+                return super().deta(features)
+
+        received = []
+        sched = make_scheduler(engine=FlakyEngine())
+        deta, _ = add_job(sched, 0, request_gen(0, 1, received, kind="deta"))
+        bkg, _ = add_job(sched, 1, request_gen(1, 1, received))
+        completed = sched.flush()
+        # Background was answered before the deta call raised: only the
+        # unanswered deta job fails, with the engine's own exception.
+        assert [j.job_id for j in completed] == [0, 1]
+        assert isinstance(deta.error, RuntimeError)
+        assert bkg.outcome == "done-1"
+        assert sched.live == 0
+        assert sched.pending_requests == 0
+        # The next round is served normally.
+        job, _ = add_job(sched, 2, request_gen(2, 1, received, kind="deta"))
+        (done,) = sched.flush()
+        assert done is job and job.outcome == "done-2"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.serve.scheduler import BatchPolicy
 
 
 class TestParser:
@@ -28,17 +27,20 @@ class TestParser:
         args = build_parser().parse_args(["serve"])
         assert args.chunks == 4
         assert args.chunk_size == 4
-        assert args.deadline_ms == BatchPolicy().deadline_s * 1e3
-        assert args.max_requests == 64
         assert args.queue_limit == 256
+        # The flush rule has no knobs, so batching flags are unknown
+        # options rather than silently ignored ones.
+        for flag in ("--deadline-ms", "--max-requests", "--max-rows"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", flag, "1"])
 
     def test_serve_load_defaults(self):
         args = build_parser().parse_args(
-            ["serve-load", "--clients", "3", "--deadline-ms", "0.5"]
+            ["serve-load", "--clients", "3", "--queue-limit", "5"]
         )
         assert args.clients == 3
         assert args.requests == 4
-        assert args.deadline_ms == 0.5
+        assert args.queue_limit == 5
         assert not args.json
 
 

@@ -27,6 +27,7 @@ import numpy as np
 from repro.geometry.fibers import FiberGrid
 from repro.geometry.tiles import DetectorGeometry
 from repro.obs import trace as obs_trace
+from repro.physics.compton import norm_columns
 from repro.physics.transport import TransportResult
 from repro.sources.grb import PhotonBatch
 
@@ -328,11 +329,12 @@ class DetectorResponse:
         start_idx = start_idx[enough]
         counts = counts[enough]
 
-        hit_sel = np.concatenate(
-            [np.arange(s, s + c) for s, c in zip(start_idx, counts)]
-        ) if counts.size else np.empty(0, dtype=np.int64)
-
+        # Kept events' hit runs, back to back: run i covers
+        # start_idx[i] .. start_idx[i] + counts[i] - 1.
         offsets = np.concatenate([[0], np.cumsum(counts)])
+        hit_sel = np.repeat(start_idx - offsets[:-1], counts) + np.arange(
+            offsets[-1]
+        )
         return EventSet(
             event_offsets=offsets.astype(np.int64),
             positions=measured_pos[hit_sel],
@@ -367,19 +369,21 @@ class DetectorResponse:
         layer = self.geometry.layer_index(pos)
         same_photon = ph[1:] == ph[:-1]
         same_layer = (layer[1:] == layer[:-1]) & (layer[1:] >= 0)
-        close = (
-            np.linalg.norm(pos[1:] - pos[:-1], axis=1) < self.config.merge_radius_cm
-        )
+        step = np.diff(pos, axis=0)
+        close = norm_columns(step.T) < self.config.merge_radius_cm
         merge_with_prev = same_photon & same_layer & close
         # Group id increments where we do NOT merge.
         group = np.concatenate([[0], np.cumsum(~merge_with_prev)])
         n_groups = group[-1] + 1
-        e_sum = np.zeros(n_groups)
-        np.add.at(e_sum, group, edep)
-        w_pos = np.zeros((n_groups, 3))
-        np.add.at(w_pos, group, pos * edep[:, None])
+        # Energy-weighted group sums, one column at a time; bincount adds
+        # in hit order, as np.add.at did.
+        e_sum = np.bincount(group, weights=edep, minlength=n_groups)
+        w_pos = np.empty((n_groups, 3))
         with np.errstate(invalid="ignore"):
-            w_pos /= e_sum[:, None]
+            for axis in range(3):
+                w_pos[:, axis] = np.bincount(
+                    group, weights=pos[:, axis] * edep, minlength=n_groups
+                ) / e_sum
         first_of_group = np.concatenate([[True], ~merge_with_prev])
         return (
             ph[first_of_group],

@@ -1,12 +1,13 @@
 """Slab-stack geometry for the ADAPT scintillating-tile detector.
 
 The detector is a stack of horizontal scintillator slabs (``Layer``)
-separated by gaps.  Photon transport (``repro.physics.transport``) needs
-fast, vectorized answers to two questions:
+separated by gaps.  Photon transport (``repro.physics.transport``) and
+digitization need fast, vectorized answers to three questions:
 
-1. Given a point and a direction, which slab boundary is crossed next and at
-   what path length? (``DetectorGeometry.next_boundary``)
-2. Is a point inside active scintillator? (``DetectorGeometry.layer_index``)
+1. Can a ray reach the stack at all? (``DetectorGeometry.may_intersect``)
+2. Over which path lengths is a ray inside each slab?
+   (``DetectorGeometry.segment_intersections``)
+3. Is a point inside active scintillator? (``DetectorGeometry.layer_index``)
 
 The stack is axis-aligned: layers are normal to z, with the top layer first.
 Coordinates are in cm; the detector is centered on the z axis with its top
@@ -50,24 +51,64 @@ class Layer:
         return (z <= self.z_top) & (z >= self.z_bottom)
 
 
+#: A ray direction component below this magnitude counts as parallel to
+#: the matching faces: the slab test then asks whether the origin lies
+#: between them instead of dividing by (nearly) zero.
+PARALLEL_EPS: float = 1e-300
+
+#: Outward margin of the stack's bounding box in
+#: :meth:`DetectorGeometry.may_intersect`, cm.
+BOX_PAD_CM: float = 1e-6
+
+
 @dataclass(frozen=True)
 class DetectorGeometry:
     """The full stack of layers plus derived lookup arrays.
+
+    The stack is validated on construction: it has at least one layer,
+    every layer has finite faces with ``z_bottom < z_top`` and a positive
+    finite ``half_size``, and the layers are ordered top-down and disjoint
+    in z (a layer's bottom face may touch the next layer's top face, never
+    cross it).  The transport relies on that order: a ray meets the slabs
+    in z order, so the layer columns are walked top-down or bottom-up
+    without sorting.
 
     Use :func:`adapt_geometry` to build the default ADAPT configuration.
     """
 
     layers: tuple[Layer, ...]
-    #: Sorted array of every slab face z coordinate, descending.
-    _z_faces: np.ndarray = field(init=False, repr=False, compare=False)
+    #: Per-layer face and half-size arrays, ``(L,)``.  ``_half`` collapses
+    #: to one entry when every layer shares it, so the lateral slab test
+    #: runs once per ray instead of once per layer.
+    _z_top: np.ndarray = field(init=False, repr=False, compare=False)
+    _z_bottom: np.ndarray = field(init=False, repr=False, compare=False)
+    _half: np.ndarray = field(init=False, repr=False, compare=False)
+    #: The stack's bounding box padded outward by BOX_PAD_CM, as ``(1,)``
+    #: arrays in the same form as the per-layer ones.
+    _box: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        faces = []
-        for layer in self.layers:
-            faces.append(layer.z_top)
-            faces.append(layer.z_bottom)
+        _validate_stack(self.layers)
+        z_top = np.array([layer.z_top for layer in self.layers], dtype=np.float64)
+        z_bottom = np.array(
+            [layer.z_bottom for layer in self.layers], dtype=np.float64
+        )
+        half = np.array([layer.half_size for layer in self.layers], dtype=np.float64)
+        if np.all(half == half[0]):
+            half = half[:1]
+        object.__setattr__(self, "_z_top", z_top)
+        object.__setattr__(self, "_z_bottom", z_bottom)
+        object.__setattr__(self, "_half", half)
         object.__setattr__(
-            self, "_z_faces", np.asarray(sorted(faces, reverse=True), dtype=np.float64)
+            self,
+            "_box",
+            (
+                np.array([z_top[0] + BOX_PAD_CM]),
+                np.array([z_bottom[-1] - BOX_PAD_CM]),
+                np.array([half.max() + BOX_PAD_CM]),
+            ),
         )
 
     # -- basic extents -------------------------------------------------------
@@ -151,57 +192,124 @@ class DetectorGeometry:
 
         For every ray and every layer, computes the parametric interval
         ``[t_in, t_out]`` (cm) over which the ray is inside that slab,
-        intersected with the lateral extent.  Intervals are empty
-        (``t_in >= t_out``) when the ray misses the slab.
+        intersected with the lateral extent and the forward half-line
+        (``t_in >= 0``).  Intervals are empty (``t_in >= t_out``) when the
+        ray misses the slab.
 
         Args:
             origins: ``(n, 3)`` ray origins.
             directions: ``(n, 3)`` unit ray directions.
 
         Returns:
-            Tuple ``(t_in, t_out)``, each ``(n, num_layers)``.
+            Tuple ``(t_in, t_out)``, each ``(n, num_layers)``.  Both are
+            transposed views of ``(num_layers, n)`` buffers, so one layer's
+            column is contiguous in memory.
         """
-        origins = np.atleast_2d(origins).astype(np.float64)
-        directions = np.atleast_2d(directions).astype(np.float64)
-        n = origins.shape[0]
-        nl = self.num_layers
-        t_in = np.full((n, nl), np.inf)
-        t_out = np.full((n, nl), -np.inf)
+        origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
+        directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
+        t_in, t_out = _slab_intervals(
+            origins, directions, self._z_top, self._z_bottom, self._half
+        )
+        return t_in.T, t_out.T
 
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for j, layer in enumerate(self.layers):
-                lo = np.zeros(n)
-                hi = np.full(n, np.inf)
-                # z slab
-                dz = directions[:, 2]
-                oz = origins[:, 2]
-                t1 = (layer.z_top - oz) / dz
-                t2 = (layer.z_bottom - oz) / dz
-                tz_lo = np.minimum(t1, t2)
-                tz_hi = np.maximum(t1, t2)
-                parallel = np.abs(dz) < 1e-300
-                inside_z = layer.contains_z(oz)
-                tz_lo = np.where(parallel, np.where(inside_z, 0.0, np.inf), tz_lo)
-                tz_hi = np.where(parallel, np.where(inside_z, np.inf, -np.inf), tz_hi)
-                lo = np.maximum(lo, tz_lo)
-                hi = np.minimum(hi, tz_hi)
-                # lateral slabs
-                for axis in (0, 1):
-                    d = directions[:, axis]
-                    o = origins[:, axis]
-                    t1 = (layer.half_size - o) / d
-                    t2 = (-layer.half_size - o) / d
-                    ta = np.minimum(t1, t2)
-                    tb = np.maximum(t1, t2)
-                    parallel = np.abs(d) < 1e-300
-                    inside_a = np.abs(o) <= layer.half_size
-                    ta = np.where(parallel, np.where(inside_a, 0.0, np.inf), ta)
-                    tb = np.where(parallel, np.where(inside_a, np.inf, -np.inf), tb)
-                    lo = np.maximum(lo, ta)
-                    hi = np.minimum(hi, tb)
-                t_in[:, j] = lo
-                t_out[:, j] = hi
-        return t_in, t_out
+    def may_intersect(
+        self, origins: np.ndarray, directions: np.ndarray
+    ) -> np.ndarray:
+        """Rays whose forward half-line may cross scintillator.
+
+        The slab test of :meth:`segment_intersections`, run once against
+        the stack's bounding box padded outward by ``BOX_PAD_CM``.  Each
+        layer's faces lie inside the box's and the arithmetic is the same,
+        so (rounding being monotone) every ray with a non-empty layer
+        interval passes; the pad only admits more.  A ray that fails has
+        no material ahead of it.
+
+        Args:
+            origins: ``(n, 3)`` ray origins.
+            directions: ``(n, 3)`` unit ray directions.
+
+        Returns:
+            ``(n,)`` bool mask, True where the ray may hit a layer.
+        """
+        origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
+        directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
+        top, bottom, half = self._box
+        t_in, t_out = _slab_intervals(origins, directions, top, bottom, half)
+        return t_in[0] <= t_out[0]
+
+
+def _validate_stack(layers: tuple[Layer, ...]) -> None:
+    """Raise ValueError unless ``layers`` is a well-formed top-down stack."""
+    if len(layers) == 0:
+        raise ValueError("a detector stack needs at least one layer")
+    for i, layer in enumerate(layers):
+        faces = (layer.z_top, layer.z_bottom, layer.half_size)
+        if not all(np.isfinite(f) for f in faces):
+            raise ValueError(f"layer {i}: faces and half_size must be finite")
+        if not layer.z_bottom < layer.z_top:
+            raise ValueError(
+                f"layer {i}: z_bottom ({layer.z_bottom}) must lie below "
+                f"z_top ({layer.z_top})"
+            )
+        if not layer.half_size > 0:
+            raise ValueError(f"layer {i}: half_size must be positive")
+        if i > 0 and layer.z_top > layers[i - 1].z_bottom:
+            raise ValueError(
+                f"layer {i}: z_top ({layer.z_top}) lies above the bottom "
+                f"face of layer {i - 1} ({layers[i - 1].z_bottom}); layers "
+                "must be ordered top-down and disjoint in z"
+            )
+
+
+def _slab_intervals(
+    origins: np.ndarray,
+    directions: np.ndarray,
+    z_top: np.ndarray,
+    z_bottom: np.ndarray,
+    half: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(K, n)`` forward entry/exit distances of n rays through K boxes.
+
+    Box ``k`` spans ``z_bottom[k] <= z <= z_top[k]`` and ``|x|, |y| <=
+    half[k]``; ``half`` may have one entry shared by every box.  The z
+    interval is clipped to ``t >= 0`` before the lateral ones narrow it.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_in, t_out = _axis_interval(
+            origins[:, 2], directions[:, 2], z_top, z_bottom
+        )
+        np.maximum(0.0, t_in, out=t_in)
+        for axis in (0, 1):
+            lo, hi = _axis_interval(
+                origins[:, axis], directions[:, axis], half, -half
+            )
+            np.maximum(t_in, lo, out=t_in)
+            np.minimum(t_out, hi, out=t_out)
+    return t_in, t_out
+
+
+def _axis_interval(
+    o: np.ndarray, d: np.ndarray, upper: np.ndarray, lower: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(K, n)`` distances along rays ``o + t d`` between K face pairs.
+
+    Rays parallel to the faces get ``[0, inf)`` when the origin lies
+    between them (inclusive) and an empty ``[inf, -inf]`` otherwise; that
+    fix-up runs only when some ray is parallel.
+    """
+    t1 = upper[:, None] - o
+    t1 /= d
+    t2 = lower[:, None] - o
+    t2 /= d
+    lo = np.minimum(t1, t2)
+    hi = np.maximum(t1, t2, out=t1)
+    parallel = np.abs(d) < PARALLEL_EPS
+    if parallel.any():
+        op = o[parallel]
+        inside = (op <= upper[:, None]) & (op >= lower[:, None])
+        lo[:, parallel] = np.where(inside, 0.0, np.inf)
+        hi[:, parallel] = np.where(inside, np.inf, -np.inf)
+    return lo, hi
 
 
 def adapt_geometry(

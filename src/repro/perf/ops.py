@@ -1,9 +1,10 @@
-"""Registered microbenchmarks for every inference kernel.
+"""Registered microbenchmarks for the hot kernels.
 
 One entry per hot kernel, at the paper's workload shape: the
 first-background-iteration ring block (597 rows — see
 ``fpga.PAPER_NUM_RINGS``) pushed through the widest background-net
-stage (13 -> 256).  Importing this module populates the registry in
+stage (13 -> 256), and one campaign trial's photons for the transport
+kernels.  Importing this module populates the registry in
 :mod:`repro.perf.registry`; ``repro.perf`` does so on import.
 
 Workloads are built deterministically (fixed seeds) inside each
@@ -237,6 +238,49 @@ def _bench_skymap_refine():
     return (
         lambda: refine_level(rings, cells, log_like, log_post, cfg)
     ), cells.num_cells
+
+
+def _trial_photons():
+    """One campaign trial's primary photons on the ADAPT stack: a
+    1 MeV/cm^2 burst at 30 degrees plus the default background
+    (~136k photons, ~90% background)."""
+    from repro.geometry.tiles import adapt_geometry
+    from repro.sources.background import BackgroundModel
+    from repro.sources.grb import GRBSource, PhotonBatch
+
+    geometry = adapt_geometry()
+    rng = _rng(29)
+    grb = GRBSource(fluence_mev_cm2=1.0, polar_angle_deg=30.0)
+    batch = PhotonBatch.concatenate(
+        [grb.generate(geometry, rng), BackgroundModel().generate(geometry, rng)]
+    )
+    return geometry, batch
+
+
+@register("transport_trial_grb1_30deg", op="physics.transport_photons")
+def _bench_transport():
+    # Every generation of one trial's transport, from the same stream
+    # each call.  rows = primary photons.
+    from repro.physics.transport import transport_photons
+
+    geometry, batch = _trial_photons()
+    return (
+        lambda: transport_photons(
+            geometry, batch.origins, batch.directions, batch.energies, _rng(31)
+        )
+    ), batch.num_photons
+
+
+@register("segment_intersections_gen0", op="geometry.segment_intersections")
+def _bench_segment_intersections():
+    # Generation 0 of that trial: the rays that pass the stack's box
+    # test, against every layer.  rows = rays.
+    geometry, batch = _trial_photons()
+    near = geometry.may_intersect(batch.origins, batch.directions)
+    origins, directions = batch.origins[near], batch.directions[near]
+    return (
+        lambda: geometry.segment_intersections(origins, directions)
+    ), origins.shape[0]
 
 
 @register("gather_scatter_block40x16", op="GatherScratch")

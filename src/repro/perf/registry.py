@@ -99,11 +99,14 @@ def plan_op_names() -> frozenset[str]:
 #: Fig.-6 loop pays per emitted confidence region.  The localization
 #: entries are the approximation stage's capped chi-square scoring and
 #: the robust refinement loop, the largest self-time share of a served
-#: alert.
+#: alert.  The physics and geometry entries are photon transport and its
+#: slab-intersection kernel, the largest share of a campaign trial.
 EXTRA_REQUIRED_OPS = frozenset(
     {
+        "geometry.segment_intersections",
         "localization.capped_chi_square",
         "localization.refine_source",
+        "physics.transport_photons",
         "skymap.evaluate_cells",
         "skymap.refine_level",
     }

@@ -132,6 +132,31 @@ def sample_klein_nishina(
     raise RuntimeError("Klein-Nishina rejection sampling did not converge")
 
 
+def cross_columns(a, b):
+    """Row-wise cross product ``a x b`` of vectors held as three columns.
+
+    ``a`` and ``b`` are 3-tuples of ``(n,)`` arrays (or scalars).  The
+    arithmetic is ``np.cross``'s — two products, then their difference —
+    so the result equals it bit for bit, signed zeros included, without
+    the short-axis passes over an ``(n, 3)`` array.
+
+    Returns:
+        The three ``(n,)`` component arrays.
+    """
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
+def norm_columns(c) -> np.ndarray:
+    """Row-wise Euclidean norm of vectors held as three columns.
+
+    Sums the squares in the order ``np.linalg.norm(..., axis=1)`` does,
+    so the result equals it bit for bit.
+    """
+    return np.sqrt(c[0] ** 2 + c[1] ** 2 + c[2] ** 2)
+
+
 def rotate_directions(
     directions: np.ndarray,
     cos_theta: np.ndarray,
@@ -151,25 +176,23 @@ def rotate_directions(
     Returns:
         ``(n, 3)`` rotated unit vectors.
     """
-    d = np.atleast_2d(np.asarray(directions, dtype=np.float64))
+    d = np.atleast_2d(np.asarray(directions, dtype=np.float64)).T
     cos_theta = np.asarray(cos_theta, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
 
     # Pick a helper axis not parallel to d: use z unless d is nearly +-z.
-    helper = np.zeros_like(d)
-    near_z = np.abs(d[:, 2]) > 0.999
-    helper[near_z, 0] = 1.0
-    helper[~near_z, 2] = 1.0
-
-    u = np.cross(helper, d)
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    v = np.cross(d, u)
+    hx = (np.abs(d[2]) > 0.999).astype(np.float64)
+    u = cross_columns((hx, 0.0, 1.0 - hx), d)
+    u_norm = norm_columns(u)
+    for c in u:
+        c /= u_norm
+    v = cross_columns(d, u)
 
     sin_theta = np.sqrt(np.clip(1.0 - cos_theta**2, 0.0, 1.0))
-    out = (
-        sin_theta[:, None] * (np.cos(phi)[:, None] * u + np.sin(phi)[:, None] * v)
-        + cos_theta[:, None] * d
-    )
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    out = np.empty((d.shape[1], 3))
+    for i in range(3):
+        out[:, i] = sin_theta * (cos_phi * u[i] + sin_phi * v[i]) + cos_theta * d[i]
     # Guard against accumulated roundoff.
-    out /= np.linalg.norm(out, axis=1, keepdims=True)
+    out /= norm_columns(out.T)[:, None]
     return out

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.geometry.tiles import DetectorGeometry
+from repro.physics.compton import cross_columns, norm_columns
 from repro.physics.spectra import PowerLawSpectrum, Spectrum
 from repro.sources.grb import LABEL_BACKGROUND, PhotonBatch, _plane_basis
 
@@ -96,36 +97,33 @@ class BackgroundModel:
         cos_p = rng.uniform(self.cos_polar_min, 1.0, size=n_photons)
         sin_p = np.sqrt(np.clip(1.0 - cos_p**2, 0.0, 1.0))
         az = rng.uniform(0.0, 2.0 * np.pi, size=n_photons)
-        # Unit vectors from detector toward each photon's origin direction.
-        src = np.stack([sin_p * np.cos(az), sin_p * np.sin(az), cos_p], axis=1)
-        beam = -src
+        # Unit vectors from detector toward each photon's origin direction,
+        # one array per axis; photons travel along beam = -src.
+        src = (sin_p * np.cos(az), sin_p * np.sin(az), cos_p)
 
-        center = np.array([0.0, 0.0, (geometry.z_top + geometry.z_bottom) / 2.0])
+        center = (0.0, 0.0, (geometry.z_top + geometry.z_bottom) / 2.0)
         dist = geometry.height + side
         a = rng.uniform(-side / 2.0, side / 2.0, size=n_photons)
         b = rng.uniform(-side / 2.0, side / 2.0, size=n_photons)
-        # Per-photon plane basis; vectorized Gram-Schmidt against a helper
-        # axis chosen per photon to avoid degeneracy.
-        helper = np.zeros_like(beam)
-        near_x = np.abs(beam[:, 0]) > 0.9
-        helper[near_x, 1] = 1.0
-        helper[~near_x, 0] = 1.0
-        u = np.cross(helper, beam)
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        v = np.cross(beam, u)
+        # Per-photon plane basis u = helper x beam, v = beam x u; the
+        # helper axis is y for beams near the x axis, else x.
+        beam = (-src[0], -src[1], -src[2])
+        hy = (np.abs(beam[0]) > 0.9).astype(np.float64)
+        u = cross_columns((1.0 - hy, hy, 0.0), beam)
+        u_norm = norm_columns(u)
+        for c in u:
+            c /= u_norm
+        v = cross_columns(beam, u)
 
-        origins = (
-            center[None, :]
-            + src * dist
-            + a[:, None] * u
-            + b[:, None] * v
-        )
+        origins = np.empty((n_photons, 3))
+        for i in range(3):
+            origins[:, i] = center[i] + src[i] * dist + a * u[i] + b * v[i]
         energies = self.spectrum.sample(n_photons, rng)
         times = rng.uniform(0.0, self.duration_s, size=n_photons)
         labels = np.full(n_photons, LABEL_BACKGROUND, dtype=np.int64)
         return PhotonBatch(
             origins=origins,
-            directions=beam,
+            directions=np.stack(beam, axis=1),
             energies=energies,
             times=times,
             labels=labels,

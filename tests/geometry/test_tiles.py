@@ -145,3 +145,57 @@ class TestSegmentIntersections:
         t_in, t_out = geometry.segment_intersections(origin, direction)
         lengths = np.maximum(t_out - np.maximum(t_in, 0.0), 0.0)
         assert lengths.sum() == pytest.approx(0.0)
+
+
+class TestStackValidation:
+    @staticmethod
+    def _layer(z_top, z_bottom, half_size=20.0):
+        return Layer(
+            z_top=z_top, z_bottom=z_bottom, half_size=half_size, material=constants.CSI
+        )
+
+    def test_rejects_empty_stack(self):
+        with pytest.raises(ValueError, match="at least one layer"):
+            DetectorGeometry(layers=())
+
+    def test_rejects_inverted_layer(self):
+        with pytest.raises(ValueError, match="layer 1"):
+            DetectorGeometry(
+                layers=(self._layer(0.0, -1.5), self._layer(-13.0, -11.5))
+            )
+
+    def test_rejects_zero_thickness_layer(self):
+        with pytest.raises(ValueError, match="layer 0"):
+            DetectorGeometry(layers=(self._layer(0.0, 0.0),))
+
+    @pytest.mark.parametrize("half_size", [0.0, -5.0])
+    def test_rejects_non_positive_half_size(self, half_size):
+        with pytest.raises(ValueError, match="layer 0: half_size"):
+            DetectorGeometry(layers=(self._layer(0.0, -1.5, half_size),))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_faces(self, bad):
+        with pytest.raises(ValueError, match="layer 0"):
+            DetectorGeometry(layers=(self._layer(0.0, -1.5, bad),))
+        with pytest.raises(ValueError, match="layer 0"):
+            DetectorGeometry(layers=(self._layer(bad, -1.5),))
+
+    def test_rejects_overlapping_layers(self):
+        with pytest.raises(ValueError, match="layer 1"):
+            DetectorGeometry(
+                layers=(self._layer(0.0, -1.5), self._layer(-1.0, -2.5))
+            )
+
+    def test_rejects_bottom_up_order(self):
+        with pytest.raises(ValueError, match="layer 1"):
+            DetectorGeometry(
+                layers=(self._layer(-11.5, -13.0), self._layer(0.0, -1.5))
+            )
+
+    def test_touching_layers_are_allowed(self):
+        geo = DetectorGeometry(
+            layers=(self._layer(0.0, -1.5), self._layer(-1.5, -3.0, 15.0))
+        )
+        assert geo.num_layers == 2
+        assert geo.height == pytest.approx(3.0)
+        assert adapt_geometry(layer_gap_cm=0.0).num_layers == 4

@@ -150,3 +150,32 @@ class TestTransportValidation:
                 np.array([1.0, 1.0]),
                 np.random.default_rng(0),
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["origin", "direction", "energy"])
+    def test_rejects_non_finite_input(self, geometry, field, bad):
+        # A NaN energy used to come back as an absorbed hit at
+        # [nan, nan, nan] with edep = nan (``nan <= 0`` is False).
+        origins = np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+        directions = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, -1.0]])
+        energies = np.array([1.0, 0.5])
+        if field == "origin":
+            origins[1, 0] = bad
+        elif field == "direction":
+            directions[1, 1] = bad
+        else:
+            energies[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            transport_photons(
+                geometry, origins, directions, energies, np.random.default_rng(0)
+            )
+
+    def test_rejects_vectors_that_are_not_3d(self, geometry):
+        with pytest.raises(ValueError, match="shape"):
+            transport_photons(
+                geometry,
+                np.zeros((2, 3)),
+                np.array([[0.0, -1.0], [0.0, -1.0]]),
+                np.array([1.0, 1.0]),
+                np.random.default_rng(0),
+            )
